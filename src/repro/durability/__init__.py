@@ -26,9 +26,10 @@ the crash-point matrix the chaos harness proves convergence over.
 
 from __future__ import annotations
 
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Callable, ContextManager, Iterable, Iterator
 
 from repro.durability.journal import (
     COMMAND_KINDS,
@@ -262,6 +263,45 @@ class Durability:
         }
 
 
+def command_boundary(
+    controller, kind: str, time: float, payload: Callable[[], Any]
+) -> ContextManager[bool]:
+    """Journal one externally driven command around its execution.
+
+    The single command boundary of the service and the fleet.  On the
+    outermost call into a durable ``controller`` it appends the
+    ``kind`` command record -- building the record from ``payload()``
+    only then -- and yields ``True`` for the duration of the command.
+    Nested calls (a node failure resubmitting its queries) and
+    controllers without durability append no command record and yield
+    ``False``.
+    """
+    if controller.durability is None or controller._in_command:
+        return _UNJOURNALED
+    return _journaled(controller, kind, time, payload)
+
+
+# Stateless, so one instance serves every unjournaled call; the plain
+# submit path then skips the cost of a generator-based context.
+_UNJOURNALED = nullcontext(False)
+
+
+@contextmanager
+def _journaled(controller, kind: str, time: float, payload) -> Iterator[bool]:
+    controller._in_command = True
+    try:
+        controller.durability.command(kind, time, payload())
+        yield True
+    finally:
+        controller._in_command = False
+
+
+def mark(durability: Durability | None, kind: str, time: float, data: Any) -> None:
+    """Journal one marker record when a durability layer is bound."""
+    if durability is not None:
+        durability.marker(kind, time, data)
+
+
 def ensure_durability(
     durability: Durability | DurabilityConfig | None,
 ) -> Durability | None:
@@ -299,10 +339,12 @@ __all__ = [
     "Journal",
     "RecoveryReport",
     "SimulatedCrash",
+    "command_boundary",
     "ensure_durability",
     "inspect_state_dir",
     "list_snapshots",
     "load_latest",
+    "mark",
     "recover",
     "repair_journal",
     "scan_journal",

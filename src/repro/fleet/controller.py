@@ -24,7 +24,6 @@ regression test pins down.
 from __future__ import annotations
 
 import re
-import time as _time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -32,6 +31,7 @@ from repro.adaptive.diff import diff_deployments
 from repro.adaptive.migrate import Migrator
 from repro.core.cost import RateModel
 from repro.core.optimizer import Optimizer, make_optimizer
+from repro.durability import command_boundary, ensure_durability, mark
 from repro.errors import ReproError, UnknownQueryError
 from repro.fleet.federation import ReuseFederation
 from repro.fleet.routing import QueryRouter, ShardPolicy, make_policy
@@ -45,6 +45,9 @@ from repro.hierarchy.hierarchy import Hierarchy
 from repro.network.graph import Network
 from repro.obs.metrics import MetricRegistry
 from repro.query.query import Query
+from repro.resources.ledger import ResourceLedger
+from repro.resources.manager import ResourceConfig, ResourceManager
+from repro.serialization import _query_to_dict
 from repro.service.admission import (
     AdmissionController,
     AdmissionDecision,
@@ -55,6 +58,7 @@ from repro.service.service import (
     StreamQueryService,
     SubmitEvent,
     TickReport,
+    drive_trace,
 )
 
 
@@ -236,9 +240,6 @@ class FleetController:
 
         # Resource layer (opt-in): one ledger shared by every shard so
         # utilization on the common physical nodes is accounted once.
-        from repro.resources.ledger import ResourceLedger
-        from repro.resources.manager import ResourceConfig, ResourceManager
-
         self._resources_config = resources
         self.resource_ledger: ResourceLedger | None = None
         self.resource_managers: list[ResourceManager] = []
@@ -376,8 +377,6 @@ class FleetController:
             self.telemetry.bind_fleet(self)
 
         # Durability layer (opt-in, fleet-scope journal + snapshots).
-        from repro.durability import ensure_durability
-
         self.durability = ensure_durability(durability)
         self._in_command = False
         if self.durability is not None:
@@ -430,15 +429,18 @@ class FleetController:
     # ------------------------------------------------------------------
     # Resource layer
     # ------------------------------------------------------------------
+    def _ledger(self) -> ResourceLedger:
+        if self.resource_ledger is None:
+            raise ReproError("fleet was built without resources=")
+        return self.resource_ledger
+
     def hot_nodes(self, k: int = 3) -> list[tuple[int, float]]:
         """The ``k`` most utilized physical nodes, fleet-wide.
 
         Raises:
             ReproError: The fleet has no resource layer.
         """
-        if self.resource_ledger is None:
-            raise ReproError("fleet was built without resources=")
-        return self.resource_ledger.hot_nodes(k)
+        return self._ledger().hot_nodes(k)
 
     def queries_on(self, node: int) -> list[str]:
         """Queries (any shard) with an operator on ``node``; feed these
@@ -447,9 +449,7 @@ class FleetController:
         Raises:
             ReproError: The fleet has no resource layer.
         """
-        if self.resource_ledger is None:
-            raise ReproError("fleet was built without resources=")
-        return self.resource_ledger.queries_on(node)
+        return self._ledger().queries_on(node)
 
     def resource_summary(self) -> dict:
         """Fleet-wide resource snapshot (ledger + per-shard managers).
@@ -457,10 +457,8 @@ class FleetController:
         Raises:
             ReproError: The fleet has no resource layer.
         """
-        if self.resource_ledger is None:
-            raise ReproError("fleet was built without resources=")
         return {
-            "ledger": self.resource_ledger.summary(),
+            "ledger": self._ledger().summary(),
             "parked": sorted(
                 name for m in self.resource_managers for name in m.parked
             ),
@@ -476,14 +474,18 @@ class FleetController:
     def check_invariants(self) -> list[str]:
         """Router/ownership violations (empty when healthy).
 
-        Checks the fleet's core invariant: every live or shard-queued
-        query is bound to exactly one shard, and that shard actually
-        holds it.
+        Checks the fleet's core invariant: every live, shard-queued or
+        shard-parked query is bound to exactly one shard, and that shard
+        actually holds it.
         """
         problems: list[str] = []
         seen: dict[str, int] = {}
         for sid, shard in enumerate(self.shards):
-            for name in shard.live_queries + shard.admission.queued_names():
+            for name in (
+                shard.live_queries
+                + shard.admission.queued_names()
+                + shard.parked_queries
+            ):
                 if name in seen:
                     problems.append(
                         f"query {name!r} held by shards {seen[name]} and {sid}"
@@ -530,22 +532,17 @@ class FleetController:
         first; when the shards are over budget the submission parks in
         the tenant's weighted-fair backlog instead of a shard queue.
         """
-        journal = self.durability is not None and not self._in_command
-        if journal:
-            from repro.serialization import _query_to_dict
-
-            self._in_command = True
-            self.durability.command(
-                "cmd_submit",
-                float(time) if time is not None else self.clock,
-                {
-                    "query": _query_to_dict(query),
-                    "lifetime": lifetime,
-                    "time": time,
-                    "tenant": tenant,
-                },
-            )
-        try:
+        with command_boundary(
+            self,
+            "cmd_submit",
+            float(time) if time is not None else self.clock,
+            lambda: {
+                "query": _query_to_dict(query),
+                "lifetime": lifetime,
+                "time": time,
+                "tenant": tenant,
+            },
+        ):
             if time is not None:
                 self.clock = time
             self.submitted_total += 1
@@ -560,26 +557,24 @@ class FleetController:
                 fleet_decision = FleetDecision(decision=decision, shard=shard)
             else:
                 fleet_decision = self._submit_tenant(query, lifetime, tenant)
-            if self.durability is not None:
-                self.durability.marker(
-                    "admit",
-                    self.clock,
-                    {
-                        "query": query.name,
-                        "status": fleet_decision.status.value,
-                        "shard": fleet_decision.shard,
-                        "tenant": fleet_decision.tenant,
-                    },
-                )
-                if fleet_decision.tenant:
-                    self._mark_tenant_accounting(fleet_decision.tenant)
+            mark(
+                self.durability,
+                "admit",
+                self.clock,
+                {
+                    "query": query.name,
+                    "status": fleet_decision.status.value,
+                    "shard": fleet_decision.shard,
+                    "tenant": fleet_decision.tenant,
+                },
+            )
+            if fleet_decision.tenant:
+                self._mark_tenant_accounting(fleet_decision.tenant)
             return fleet_decision
-        finally:
-            if journal:
-                self._in_command = False
 
     def _mark_tenant_accounting(self, tenant: str) -> None:
-        self.durability.marker(
+        mark(
+            self.durability,
             "tenant_accounting",
             self.clock,
             {
@@ -624,24 +619,19 @@ class FleetController:
             return rejected(
                 f"tenant {record.name!r} quota {record.quota} exhausted"
             )
-        if lifetime is not None and lifetime <= 0:
-            return rejected(f"non-positive lifetime {lifetime}")
-        if self.router.owner(query.name) is not None:
-            return rejected(f"query {query.name!r} is already in the fleet")
-        unknown = [s for s in query.sources if s not in self.rates.streams]
-        if unknown:
-            return rejected(f"unknown streams: {unknown}")
-        if query.sink not in self.network.nodes():
-            return rejected(f"sink {query.sink} is not a network node")
+        # Shards share the network and the catalog, so any shard's
+        # checks are the fleet's.
+        reason = self.shards[0].rejection_reason(
+            query,
+            lifetime,
+            "in the fleet" if self.router.owner(query.name) is not None else None,
+        )
+        if reason is not None:
+            return rejected(reason)
 
         shard = self.router.route(query)
-        service = self.shards[shard]
-        has_capacity = (
-            len(service.live_queries) < service.admission.budget
-            and service.admission.queue_depth == 0
-        )
-        if has_capacity and self.scheduler.total_backlog == 0:
-            decision = service.submit(query, lifetime=lifetime)
+        if self._has_room(shard) and self.scheduler.total_backlog == 0:
+            decision = self.shards[shard].submit(query, lifetime=lifetime)
             self._book_decision(decision, shard, record.name)
             if not decision.rejected:
                 self._charge(record.name, query.name)
@@ -670,7 +660,7 @@ class FleetController:
             reason=f"fleet backlog (tenant {record.name!r})",
             queue_position=position,
         )
-        self._admitted_like(decision)
+        self._admitted_counter.inc(time=self.clock)
         return FleetDecision(decision=decision, shard=shard, tenant=record.name)
 
     def _book_decision(
@@ -682,14 +672,11 @@ class FleetController:
                 self._tenant_instruments[tenant]["rejected"].inc(time=self.clock)
             return
         self.router.bind(decision.query, shard)
-        self._admitted_like(decision)
+        self._admitted_counter.inc(time=self.clock)
         if tenant:
             self._tenant_instruments[tenant]["admitted"].inc(time=self.clock)
         if decision.admitted:
             self._after_deploy(shard, decision.query)
-
-    def _admitted_like(self, decision: AdmissionDecision) -> None:
-        self._admitted_counter.inc(time=self.clock)
 
     def _charge(self, tenant: str, name: str) -> None:
         self._tenant_of[name] = tenant
@@ -713,12 +700,10 @@ class FleetController:
         invalidated), then drains the tenant backlog into freed shard
         capacity under weighted fairness.
         """
-        journal = self.durability is not None and not self._in_command
         now = float(time) if time is not None else self.clock + 1.0
-        if journal:
-            self._in_command = True
-            self.durability.command("cmd_tick", now, {"time": now})
-        try:
+        with command_boundary(
+            self, "cmd_tick", now, lambda: {"time": now}
+        ) as journal:
             self.clock = now
             reports = [shard.tick(now) for shard in self.shards]
             report = FleetTickReport(time=now, shard_reports=reports)
@@ -751,44 +736,36 @@ class FleetController:
                 )
                 self.durability.maybe_snapshot(now)
             return report
-        finally:
-            if journal:
-                self._in_command = False
 
     def _sync_federation(self) -> dict[str, int]:
         """One federation sync, journaled as publish/withdraw markers."""
         result = self.federation.sync()
-        if self.durability is not None:
-            if result["imported"]:
-                self.durability.marker(
-                    "federation_publish",
-                    self.clock,
-                    {"imported": result["imported"], "epoch": self.federation.epoch},
-                )
-            if result["withdrawn"] or result["promoted"]:
-                self.durability.marker(
-                    "federation_withdraw",
-                    self.clock,
-                    {
-                        "withdrawn": result["withdrawn"],
-                        "promoted": result["promoted"],
-                        "epoch": self.federation.epoch,
-                    },
-                )
+        if result["imported"]:
+            mark(
+                self.durability,
+                "federation_publish",
+                self.clock,
+                {"imported": result["imported"], "epoch": self.federation.epoch},
+            )
+        if result["withdrawn"] or result["promoted"]:
+            mark(
+                self.durability,
+                "federation_withdraw",
+                self.clock,
+                {
+                    "withdrawn": result["withdrawn"],
+                    "promoted": result["promoted"],
+                    "epoch": self.federation.epoch,
+                },
+            )
         return result
 
     def _drain_backlog(self) -> list[tuple[str, int]]:
         deployed: list[tuple[str, int]] = []
-
-        def eligible(_tenant: str, item: _PendingSubmit) -> bool:
-            service = self.shards[item.shard]
-            return (
-                len(service.live_queries) < service.admission.budget
-                and service.admission.queue_depth == 0
-            )
-
         while True:
-            picked = self.scheduler.pick(eligible)
+            picked = self.scheduler.pick(
+                lambda _tenant, item: self._has_room(item.shard)
+            )
             if picked is None:
                 break
             tenant, item = picked
@@ -817,11 +794,7 @@ class FleetController:
         Raises:
             UnknownQueryError: Nothing in the fleet has that name.
         """
-        journal = self.durability is not None and not self._in_command
-        if journal:
-            self._in_command = True
-            self.durability.command("cmd_retire", self.clock, {"name": name})
-        try:
+        with command_boundary(self, "cmd_retire", self.clock, lambda: {"name": name}):
             tenant = self._tenant_of.get(name)
             if self.scheduler is not None and tenant is not None:
                 item = self.scheduler.withdraw(
@@ -832,8 +805,7 @@ class FleetController:
                     self._tenant_of.pop(name, None)
                     self._tenant_charge[tenant] -= 1
                     self._record_gauges()
-                    if self.durability is not None:
-                        self._mark_tenant_accounting(tenant)
+                    self._mark_tenant_accounting(tenant)
                     return False
             shard = self.router.owner(name)
             if shard is None:
@@ -843,14 +815,10 @@ class FleetController:
             if self.federation is not None:
                 self._sync_federation()
             self._record_gauges()
-            if self.durability is not None:
-                self.durability.marker("retire", self.clock, {"query": name})
-                if tenant is not None:
-                    self._mark_tenant_accounting(tenant)
+            mark(self.durability, "retire", self.clock, {"query": name})
+            if tenant is not None:
+                self._mark_tenant_accounting(tenant)
             return was_live
-        finally:
-            if journal:
-                self._in_command = False
 
     def _forget(self, name: str, live: bool = True) -> None:
         self.router.release(name)
@@ -876,19 +844,13 @@ class FleetController:
         (:func:`diff_deployments` + :meth:`Migrator.simulate_cutover`).
         A move that cannot be admitted rolls back onto the source shard.
         """
-        journal = self.durability is not None and not self._in_command
-        if journal:
-            self._in_command = True
-            self.durability.command(
-                "cmd_rebalance",
-                self.clock,
-                {"name": name, "target_shard": target_shard},
-            )
-        try:
+        with command_boundary(
+            self,
+            "cmd_rebalance",
+            self.clock,
+            lambda: {"name": name, "target_shard": target_shard},
+        ):
             return self._rebalance(name, target_shard)
-        finally:
-            if journal:
-                self._in_command = False
 
     def _rebalance(self, name: str, target_shard: int) -> RebalanceReport:
         if not 0 <= target_shard < self.num_shards:
@@ -906,10 +868,7 @@ class FleetController:
             )
         source = self.shards[source_shard]
         target = self.shards[target_shard]
-        if (
-            len(target.live_queries) >= target.admission.budget
-            or target.admission.queue_depth > 0
-        ):
+        if not self._has_room(target_shard):
             return RebalanceReport(
                 query=name,
                 source_shard=source_shard,
@@ -925,16 +884,16 @@ class FleetController:
         remaining = None if expiry is None else max(1.0, expiry - self.clock)
         cost_before = self.total_cost()
 
-        if self.durability is not None:
-            self.durability.marker(
-                "migrate_begin",
-                self.clock,
-                {
-                    "query": name,
-                    "source_shard": source_shard,
-                    "target_shard": target_shard,
-                },
-            )
+        mark(
+            self.durability,
+            "migrate_begin",
+            self.clock,
+            {
+                "query": name,
+                "source_shard": source_shard,
+                "target_shard": target_shard,
+            },
+        )
         source.retire(name)
         if self.federation is not None:
             self._sync_federation()
@@ -943,12 +902,12 @@ class FleetController:
             source.submit(old.query, lifetime=remaining)
             if self.federation is not None:
                 self._sync_federation()
-            if self.durability is not None:
-                self.durability.marker(
-                    "migrate_abort",
-                    self.clock,
-                    {"query": name, "reason": "target admission refused"},
-                )
+            mark(
+                self.durability,
+                "migrate_abort",
+                self.clock,
+                {"query": name, "reason": "target admission refused"},
+            )
             return RebalanceReport(
                 query=name,
                 source_shard=source_shard,
@@ -968,29 +927,29 @@ class FleetController:
         timeline = Migrator(self.network).simulate_cutover(
             diff, coordinator=self.hierarchy.root.coordinator, start_time=self.clock
         )
-        if self.durability is not None:
-            for phase, stamp in (
-                ("pause", timeline.pause_done),
-                ("transfer", timeline.transfer_done),
-                ("resume", timeline.completed),
-            ):
-                if stamp is not None:
-                    self.durability.marker(
-                        "migrate_phase",
-                        self.clock,
-                        {"query": name, "phase": phase},
-                    )
+        for phase, stamp in (
+            ("pause", timeline.pause_done),
+            ("transfer", timeline.transfer_done),
+            ("resume", timeline.completed),
+        ):
+            if stamp is not None:
+                mark(
+                    self.durability,
+                    "migrate_phase",
+                    self.clock,
+                    {"query": name, "phase": phase},
+                )
         if self.federation is not None:
             self._sync_federation()
         self.rebalances_total += 1
         self._rebalance_counter.inc(time=self.clock)
         self._record_gauges()
-        if self.durability is not None:
-            self.durability.marker(
-                "migrate_commit",
-                self.clock,
-                {"query": name, "target_shard": target_shard},
-            )
+        mark(
+            self.durability,
+            "migrate_commit",
+            self.clock,
+            {"query": name, "target_shard": target_shard},
+        )
         return RebalanceReport(
             query=name,
             source_shard=source_shard,
@@ -1021,33 +980,17 @@ class FleetController:
         and every finite-lifetime query retired.  ``tenant_for`` maps an
         event to a tenant name (``None`` = untenanted submission).
         """
-        ordered = sorted(events, key=lambda e: e.time)
-        decisions: list[FleetDecision] = []
-        wall_start = _time.perf_counter()
-        ticks = 0
-        clock = self.clock
-        i = 0
-        while i < len(ordered):
-            clock += 1.0
-            self.tick(clock)
-            ticks += 1
-            while i < len(ordered) and ordered[i].time <= clock:
-                event = ordered[i]
-                decisions.append(
-                    self.submit(
-                        event.query,
-                        lifetime=event.lifetime,
-                        tenant=tenant_for(event) if tenant_for else None,
-                    )
-                )
-                i += 1
-            if ticks >= max_ticks:  # pragma: no cover - defensive
-                break
-        while drain and ticks < max_ticks and self._has_pending_work():
-            clock += 1.0
-            self.tick(clock)
-            ticks += 1
-        wall = _time.perf_counter() - wall_start
+        decisions, ticks, wall = drive_trace(
+            self,
+            events,
+            lambda e: self.submit(
+                e.query,
+                lifetime=e.lifetime,
+                tenant=tenant_for(e) if tenant_for else None,
+            ),
+            drain,
+            max_ticks,
+        )
         deployed_total = sum(s.deployed_total for s in self.shards)
         summary = {
             "submitted": len(decisions),
@@ -1077,7 +1020,7 @@ class FleetController:
         )
 
     def _has_pending_work(self) -> bool:
-        if any(s.admission.queue_depth > 0 or s._expiry for s in self.shards):
+        if any(s._has_pending_work() for s in self.shards):
             return True
         return self.scheduler is not None and self.scheduler.total_backlog > 0
 
@@ -1160,6 +1103,14 @@ class FleetController:
             if self.federation.import_for(shard, leaf.view, node) is not None:
                 self.cross_shard_reuse_total += 1
                 self._reuse_counter.inc(time=self.clock)
+
+    def _has_room(self, shard: int) -> bool:
+        """Whether a shard can deploy now: budget left and no queue."""
+        service = self.shards[shard]
+        return (
+            len(service.live_queries) < service.admission.budget
+            and service.admission.queue_depth == 0
+        )
 
     def _record_gauges(self) -> None:
         now = self.clock

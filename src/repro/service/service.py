@@ -36,11 +36,12 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.adaptive.loop import AdaptivityConfig, AdaptivityLoop
 from repro.core.cost import RateModel
 from repro.core.optimizer import Optimizer
+from repro.durability import command_boundary, ensure_durability, mark
 from repro.errors import (
     HierarchyError,
     InfeasiblePlacementError,
@@ -59,6 +60,7 @@ from repro.resilience.degradation import ResilienceConfig, ResilientControl
 from repro.resilience.faults import NULL_FAULTS
 from repro.runtime.engine import FlowEngine
 from repro.runtime.metrics import MetricsLog
+from repro.serialization import _query_to_dict
 from repro.service.admission import (
     AdmissionController,
     AdmissionDecision,
@@ -332,8 +334,6 @@ class StreamQueryService:
 
         # Durability layer, same contract: journal, snapshots and the
         # durability_* instruments exist only when asked for.
-        from repro.durability import ensure_durability
-
         self.durability = ensure_durability(durability)
         self._in_command = False
         if self.durability is not None:
@@ -371,6 +371,16 @@ class StreamQueryService:
     def live_queries(self) -> list[str]:
         """Names of currently deployed queries."""
         return [d.query.name for d in self.engine.state.deployments]
+
+    @property
+    def parked_queries(self) -> list[str]:
+        """Names parked by the resilience or resource layer."""
+        return [
+            name
+            for layer in (self.resilience, self.resources)
+            if layer is not None
+            for name in layer.parked
+        ]
 
     def is_live(self, name: str) -> bool:
         """Whether a query of that name is currently deployed."""
@@ -441,21 +451,16 @@ class StreamQueryService:
         Returns:
             The typed admission decision.
         """
-        journal = self.durability is not None and not self._in_command
-        if journal:
-            from repro.serialization import _query_to_dict
-
-            self._in_command = True
-            self.durability.command(
-                "cmd_submit",
-                float(time) if time is not None else self.clock,
-                {
-                    "query": _query_to_dict(query),
-                    "lifetime": lifetime,
-                    "time": time,
-                },
-            )
-        try:
+        with command_boundary(
+            self,
+            "cmd_submit",
+            float(time) if time is not None else self.clock,
+            lambda: {
+                "query": _query_to_dict(query),
+                "lifetime": lifetime,
+                "time": time,
+            },
+        ):
             if time is not None:
                 self.engine.clock = time
             with self.tracer.span("submit", query=query.name) as span:
@@ -468,83 +473,66 @@ class StreamQueryService:
                         query, len(self._live_names()), time=self.clock
                     )
                     if decision.status is AdmissionStatus.ADMITTED:
-                        try:
-                            self._deploy(query, lifetime)
-                        except InfeasiblePlacementError as exc:
-                            if self.resources is None:
-                                raise
-                            self.resources.park(self, query, lifetime, str(exc))
-                            if self.durability is not None:
-                                self.durability.marker(
-                                    "park",
-                                    self.clock,
-                                    {"query": query.name, "reason": str(exc)},
-                                )
+                        reason = self._deploy_or_park(query, lifetime)
+                        if reason is not None:
                             decision = AdmissionDecision(
                                 query=query.name,
                                 status=AdmissionStatus.QUEUED,
-                                reason=f"parked: {exc}",
-                            )
-                            span.incr("parked")
-                        except PlanningError as exc:
-                            if self.resilience is None:
-                                raise
-                            self.resilience.park(self, query, lifetime, str(exc))
-                            if self.durability is not None:
-                                self.durability.marker(
-                                    "park",
-                                    self.clock,
-                                    {"query": query.name, "reason": str(exc)},
-                                )
-                            decision = AdmissionDecision(
-                                query=query.name,
-                                status=AdmissionStatus.QUEUED,
-                                reason=f"parked: {exc}",
+                                reason=f"parked: {reason}",
                             )
                             span.incr("parked")
                     elif decision.status is AdmissionStatus.QUEUED:
                         self._pending_lifetimes[query.name] = lifetime
                 span.tag(decision=decision.status.value)
                 self._record_gauges()
-            if self.durability is not None:
-                self.durability.marker(
-                    "admit",
-                    self.clock,
-                    {
-                        "query": query.name,
-                        "status": decision.status.value,
-                        "reason": decision.reason,
-                    },
-                )
-        finally:
-            if journal:
-                self._in_command = False
+            mark(
+                self.durability,
+                "admit",
+                self.clock,
+                {
+                    "query": query.name,
+                    "status": decision.status.value,
+                    "reason": decision.reason,
+                },
+            )
         return decision
 
     def _validate(self, query: Query, lifetime: float | None) -> AdmissionDecision | None:
+        reason = self.rejection_reason(query, lifetime, self._held_as(query.name))
+        if reason is None and self.resilience is not None and self.hierarchy is not None:
+            if query.sink not in self.hierarchy.root.subtree_nodes():
+                reason = f"sink {query.sink} is not a live hierarchy node"
+        return None if reason is None else self.admission.reject(query, reason)
+
+    def rejection_reason(
+        self, query: Query, lifetime: float | None, held: str | None
+    ) -> str | None:
+        """The first reason a submission is invalid, or ``None``.
+
+        Checks the lifetime, then the name (``held`` says where a query
+        of that name already is -- ``"deployed"``, ``"in the fleet"``
+        ... -- or is ``None`` when the name is free), then the source
+        streams against the catalog and the sink against the network.
+        """
         if lifetime is not None and lifetime <= 0:
-            return self.admission.reject(query, f"non-positive lifetime {lifetime}")
-        if self.is_live(query.name):
-            return self.admission.reject(
-                query, f"query {query.name!r} is already deployed"
-            )
-        if self.admission.is_queued(query.name):
-            return self.admission.reject(
-                query, f"query {query.name!r} is already queued"
-            )
+            return f"non-positive lifetime {lifetime}"
+        if held is not None:
+            return f"query {query.name!r} is already {held}"
         known = self.rates.streams
         unknown = [s for s in query.sources if s not in known]
         if unknown:
-            return self.admission.reject(query, f"unknown streams: {unknown}")
+            return f"unknown streams: {unknown}"
         if query.sink not in self.network.nodes():
-            return self.admission.reject(
-                query, f"sink {query.sink} is not a network node"
-            )
-        if self.resilience is not None and self.hierarchy is not None:
-            if query.sink not in self.hierarchy.root.subtree_nodes():
-                return self.admission.reject(
-                    query, f"sink {query.sink} is not a live hierarchy node"
-                )
+            return f"sink {query.sink} is not a network node"
+        return None
+
+    def _held_as(self, name: str) -> str | None:
+        if self.is_live(name):
+            return "deployed"
+        if self.admission.is_queued(name):
+            return "queued"
+        if self._parked_by(name) is not None:
+            return "parked"
         return None
 
     def tick(self, time: float | None = None) -> TickReport:
@@ -554,12 +542,10 @@ class StreamQueryService:
         submission queue into freed capacity (FIFO, bounded by the
         controller's per-tick limit), then records the service gauges.
         """
-        journal = self.durability is not None and not self._in_command
-        if journal:
-            now = float(time) if time is not None else self.engine.clock + 1.0
-            self._in_command = True
-            self.durability.command("cmd_tick", now, {"time": now})
-        try:
+        now = float(time) if time is not None else self.engine.clock + 1.0
+        with command_boundary(
+            self, "cmd_tick", now, lambda: {"time": now}
+        ) as journal:
             prof = _perf.active()
             if prof is None:
                 report = self._tick(time)
@@ -578,9 +564,6 @@ class StreamQueryService:
                     },
                 )
                 self.durability.maybe_snapshot(report.time)
-        finally:
-            if journal:
-                self._in_command = False
         return report
 
     def _tick(self, time: float | None = None) -> TickReport:
@@ -598,33 +581,10 @@ class StreamQueryService:
 
         for query in self.admission.drain(len(self._live_names()), time=now):
             lifetime = self._pending_lifetimes.pop(query.name, None)
-            try:
-                self._deploy(query, lifetime)
-            except InfeasiblePlacementError as exc:
-                if self.resources is None:
-                    raise
-                self.resources.park(self, query, lifetime, str(exc))
-                if self.durability is not None:
-                    self.durability.marker(
-                        "park",
-                        now,
-                        {"query": query.name, "reason": str(exc)},
-                    )
+            if self._deploy_or_park(query, lifetime) is None:
+                report.deployed.append(query.name)
+            else:
                 report.parked.append(query.name)
-                continue
-            except PlanningError as exc:
-                if self.resilience is None:
-                    raise
-                self.resilience.park(self, query, lifetime, str(exc))
-                if self.durability is not None:
-                    self.durability.marker(
-                        "park",
-                        now,
-                        {"query": query.name, "reason": str(exc)},
-                    )
-                report.parked.append(query.name)
-                continue
-            report.deployed.append(query.name)
 
         if self.resilience is not None:
             self.resilience.readmit_parked(self, report.deployed)
@@ -650,19 +610,14 @@ class StreamQueryService:
             UnknownQueryError: The name is neither deployed, queued nor
                 parked (also catchable as ``KeyError``).
         """
-        journal = self.durability is not None and not self._in_command
-        if journal:
-            self._in_command = True
-            self.durability.command("cmd_retire", self.clock, {"name": name})
-        try:
+        with command_boundary(self, "cmd_retire", self.clock, lambda: {"name": name}):
             if self.admission.withdraw(name, time=self.clock):
                 self._pending_lifetimes.pop(name, None)
                 self._record_gauges()
                 return False
-            if self.resilience is not None and self.resilience.unpark(name):
-                self._record_gauges()
-                return False
-            if self.resources is not None and self.resources.unpark(name):
+            layer = self._parked_by(name)
+            if layer is not None:
+                layer.unpark(name)
                 self._record_gauges()
                 return False
             if not self.is_live(name):
@@ -672,9 +627,6 @@ class StreamQueryService:
             self._retire_live(name)
             self._record_gauges()
             return True
-        finally:
-            if journal:
-                self._in_command = False
 
     def handle_node_failure(self, node: int) -> ServiceFailureReport:
         """Route a node failure through retire/re-admit.
@@ -693,18 +645,12 @@ class StreamQueryService:
             raise HierarchyError("handle_node_failure requires a hierarchy")
         from repro.runtime.failover import fail_node
 
-        journal = self.durability is not None and not self._in_command
-        if journal:
-            self._in_command = True
-            self.durability.command("cmd_node_failure", self.clock, {"node": node})
-        try:
-            return self._handle_node_failure(node, fail_node)
-        finally:
-            if journal:
-                self._in_command = False
-
-    def _handle_node_failure(self, node: int, fail_node) -> ServiceFailureReport:
-        with self.tracer.span("node_failure", node=node) as span:
+        with (
+            command_boundary(
+                self, "cmd_node_failure", self.clock, lambda: {"node": node}
+            ),
+            self.tracer.span("node_failure", node=node) as span,
+        ):
             failure = fail_node(self.hierarchy, node, engine=self.engine)
             report = ServiceFailureReport(node=node)
             by_name = {d.query.name: d.query for d in self.engine.state.deployments}
@@ -761,11 +707,7 @@ class StreamQueryService:
         """
         if self.hierarchy is None:
             raise HierarchyError("rejoin_node requires a hierarchy")
-        journal = self.durability is not None and not self._in_command
-        if journal:
-            self._in_command = True
-            self.durability.command("cmd_rejoin", self.clock, {"node": node})
-        try:
+        with command_boundary(self, "cmd_rejoin", self.clock, lambda: {"node": node}):
             if not self.network.has_node(node):
                 return False
             from repro.hierarchy.maintenance import add_node
@@ -778,9 +720,6 @@ class StreamQueryService:
                 return False  # already a member
             self.bump_topology_epoch()
             return True
-        finally:
-            if journal:
-                self._in_command = False
 
     def observe_rates(self, samples, time: float | None = None) -> None:
         """Feed dataplane rate samples to the adaptivity monitor.
@@ -789,22 +728,16 @@ class StreamQueryService:
         decisions, so recovery must replay it).  A no-op without the
         adaptivity layer.
         """
-        journal = self.durability is not None and not self._in_command
-        if journal:
-            self._in_command = True
-            self.durability.command(
-                "cmd_observe",
-                float(time) if time is not None else self.clock,
-                {"samples": dict(samples), "time": time},
-            )
-        try:
+        with command_boundary(
+            self,
+            "cmd_observe",
+            float(time) if time is not None else self.clock,
+            lambda: {"samples": dict(samples), "time": time},
+        ):
             if time is not None:
                 self.engine.clock = float(time)
             if self.adaptivity is not None:
                 self.adaptivity.observe_rates(samples)
-        finally:
-            if journal:
-                self._in_command = False
 
     # ------------------------------------------------------------------
     # Planning
@@ -901,33 +834,13 @@ class StreamQueryService:
             A :class:`ReplayReport` with every admission decision and a
             summary (cache hit rate, queries/second of planning, ...).
         """
-        ordered = sorted(events, key=lambda e: e.time)
-        decisions: list[AdmissionDecision] = []
-        wall_start = _time.perf_counter()
-        ticks = 0
-        clock = self.clock
-        i = 0
-        while i < len(ordered):
-            clock += 1.0
-            self.tick(clock)
-            ticks += 1
-            while i < len(ordered) and ordered[i].time <= clock:
-                event = ordered[i]
-                decisions.append(
-                    self.submit(event.query, lifetime=event.lifetime)
-                )
-                i += 1
-            if ticks >= max_ticks:  # pragma: no cover - defensive
-                break
-        while (
-            drain
-            and ticks < max_ticks
-            and (self.admission.queue_depth > 0 or self._expiry)
-        ):
-            clock += 1.0
-            self.tick(clock)
-            ticks += 1
-        wall = _time.perf_counter() - wall_start
+        decisions, ticks, wall = drive_trace(
+            self,
+            events,
+            lambda e: self.submit(e.query, lifetime=e.lifetime),
+            drain,
+            max_ticks,
+        )
         admitted = sum(1 for d in decisions if not d.rejected)
         report = ReplayReport(
             decisions=decisions,
@@ -966,6 +879,39 @@ class StreamQueryService:
     def _live_names(self) -> list[str]:
         return self.live_queries
 
+    def _has_pending_work(self) -> bool:
+        return self.admission.queue_depth > 0 or bool(self._expiry)
+
+    def _parked_by(self, name: str):
+        """The layer (resilience or resources) holding ``name`` parked."""
+        for layer in (self.resilience, self.resources):
+            if layer is not None and name in layer.parked:
+                return layer
+        return None
+
+    def _deploy_or_park(self, query: Query, lifetime: float | None) -> str | None:
+        """Deploy a query, or park it with the layer that refused it.
+
+        An infeasible placement parks with the resource layer, any other
+        planning failure with the resilience layer; without that layer
+        the error propagates.  Returns ``None`` when the query deployed,
+        else the park reason.
+        """
+        try:
+            self._deploy(query, lifetime)
+            return None
+        except InfeasiblePlacementError as exc:
+            if self.resources is None:
+                raise
+            layer, reason = self.resources, str(exc)
+        except PlanningError as exc:
+            if self.resilience is None:
+                raise
+            layer, reason = self.resilience, str(exc)
+        layer.park(self, query, lifetime, reason)
+        mark(self.durability, "park", self.clock, {"query": query.name, "reason": reason})
+        return reason
+
     def _deploy(self, query: Query, lifetime: float | None) -> None:
         if self.resilience is not None:
             deployment = self.resilience.plan(self, query)
@@ -983,12 +929,12 @@ class StreamQueryService:
         if lifetime is not None:
             self._expiry[query.name] = self.clock + lifetime
         self.deployed_total += 1
-        if self.durability is not None:
-            self.durability.marker(
-                "deploy",
-                self.clock,
-                {"query": query.name, "lifetime": lifetime},
-            )
+        mark(
+            self.durability,
+            "deploy",
+            self.clock,
+            {"query": query.name, "lifetime": lifetime},
+        )
 
     def _retire_live(self, name: str) -> None:
         self.engine.undeploy(name, time=self.clock)
@@ -996,8 +942,7 @@ class StreamQueryService:
             self.ads.sync_from_state(self.engine.state)
         self._expiry.pop(name, None)
         self.retired_total += 1
-        if self.durability is not None:
-            self.durability.marker("retire", self.clock, {"query": name})
+        mark(self.durability, "retire", self.clock, {"query": name})
 
     def _record_gauges(self) -> None:
         now = self.clock
@@ -1012,6 +957,42 @@ class StreamQueryService:
         )
         if self.resources is not None:
             self.resources.record_gauges(self)
+
+
+def drive_trace(
+    controller,
+    events: Iterable[SubmitEvent],
+    submit: Callable[[SubmitEvent], object],
+    drain: bool,
+    max_ticks: int,
+) -> tuple[list, int, float]:
+    """The replay driver shared by the service and the fleet.
+
+    Submits each event (through ``submit``) at its tick, ticking the
+    controller through the gaps, and with ``drain`` keeps ticking while
+    the controller has queued or finite-lifetime work left.  Returns
+    ``(decisions, ticks, wall_seconds)``.
+    """
+    ordered = sorted(events, key=lambda e: e.time)
+    decisions = []
+    wall_start = _time.perf_counter()
+    ticks = 0
+    clock = controller.clock
+    i = 0
+    while i < len(ordered):
+        clock += 1.0
+        controller.tick(clock)
+        ticks += 1
+        while i < len(ordered) and ordered[i].time <= clock:
+            decisions.append(submit(ordered[i]))
+            i += 1
+        if ticks >= max_ticks:  # pragma: no cover - defensive
+            break
+    while drain and ticks < max_ticks and controller._has_pending_work():
+        clock += 1.0
+        controller.tick(clock)
+        ticks += 1
+    return decisions, ticks, _time.perf_counter() - wall_start
 
 
 def churn_trace(

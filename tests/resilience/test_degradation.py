@@ -212,6 +212,31 @@ class TestParking:
             service.retire(query.name)
 
 
+    def test_parked_name_cannot_be_resubmitted(self):
+        service0, workload = build_resilient()
+        query, leaf_coord, parent_coord = query_with_distinct_coordinators(
+            service0, workload
+        )
+        service, _ = build_resilient([
+            CoordinatorOutage(time=0.0, node=leaf_coord, duration=100.0),
+            CoordinatorOutage(time=0.0, node=parent_coord, duration=100.0),
+        ])
+
+        class RaisingFallback:
+            def plan(self, query, state):
+                raise PlanningError("no")
+
+        service.resilience._fallback = RaisingFallback()
+        service.submit(query, time=1.0)
+        assert service.parked_queries == [query.name]
+
+        decision = service.submit(query, time=2.0)
+        assert decision.rejected
+        assert decision.reason == f"query {query.name!r} is already parked"
+        assert query.name in service.resilience.parked
+        assert not service.is_live(query.name)
+
+
 class TestQuarantine:
     def test_flapping_node_is_quarantined_and_released(self):
         config = ResilienceConfig(quarantine_after=2, quarantine_ticks=10.0)

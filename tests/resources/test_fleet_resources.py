@@ -114,6 +114,52 @@ class TestSharedLedger:
         )
 
 
+def parked_fleet():
+    """A fleet with capacity-parked queries; returns ``(fleet, name, shard)``
+    for one parked query and the shard it is bound to."""
+    net = repro.transit_stub_by_size(32, seed=47)
+    fleet, workload, _ = build_fleet(
+        ResourceConfig(capacities=uniform_capacities(net, cpu=332.0), shed=False),
+        num_queries=12,
+    )
+    for query in workload:
+        fleet.submit(query, lifetime=100.0)
+    parked = [
+        (name, sid)
+        for sid, manager in enumerate(fleet.resource_managers)
+        for name in manager.parked
+    ]
+    assert parked, "capacities must force at least one park"
+    name, sid = parked[0]
+    assert fleet.router.owner(name) == sid
+    return fleet, name, sid
+
+
+class TestInvariantsWithParking:
+    def test_parked_at_its_bound_shard_is_held(self):
+        fleet, name, sid = parked_fleet()
+        assert name in fleet.shards[sid].parked_queries
+        assert fleet.check_invariants() == []
+
+    def test_parked_at_the_wrong_shard_is_reported(self):
+        fleet, name, sid = parked_fleet()
+        other = 1 - sid
+        managers = fleet.resource_managers
+        managers[other].parked[name] = managers[sid].parked.pop(name)
+        assert fleet.check_invariants() == [
+            f"query {name!r} held by shard {other} but routed to {sid}"
+        ]
+
+    def test_parked_at_two_shards_is_reported(self):
+        fleet, name, sid = parked_fleet()
+        other = 1 - sid
+        managers = fleet.resource_managers
+        managers[other].parked[name] = managers[sid].parked[name]
+        problems = fleet.check_invariants()
+        assert f"query {name!r} held by shards 0 and 1" in problems
+        assert f"query {name!r} held by shard {other} but routed to {sid}" in problems
+
+
 class TestTenantWeightedShedding:
     def test_gold_tenant_displaces_bronze(self):
         net = repro.transit_stub_by_size(32, seed=47)

@@ -83,6 +83,32 @@ class TestParkAndReadmit:
         assert service.retire(name) is False
         assert name not in service.resources.parked
 
+    def test_parked_name_cannot_be_resubmitted(self):
+        # Regression: a resubmitted parked name used to be admitted, so
+        # the query ran live while still parked, and retire() then only
+        # unparked it and left the deployment running.
+        net = repro.transit_stub_by_size(32, seed=47)
+        service, workload, _ = build_service(
+            ResourceConfig(
+                capacities=uniform_capacities(net, cpu=332.0), shed=False
+            ),
+            num_queries=12,
+        )
+        queries = {q.name: q for q in workload}
+        for query in workload:
+            service.submit(query)
+        assert "q7" in service.resources.parked
+        for name in list(service.live_queries):
+            service.retire(name)
+
+        decision = service.submit(queries["q7"])
+        assert decision.rejected
+        assert decision.reason == "query 'q7' is already parked"
+        assert not service.is_live("q7")
+        assert service.retire("q7") is False
+        assert service.live_queries == []
+        assert "q7" not in service.resources.parked
+
     def test_unconstrained_infeasible_error_propagates(self):
         # A plain service (no resource layer) must never see the
         # exception type swallowed.
